@@ -1,19 +1,21 @@
 (** The CPLA outer loop (Problem 1).
 
-    Each iteration freezes downstream capacitances and worst paths at the
-    current assignment, partitions the released segments (Section 3.2),
-    solves partitions with the configured method (ILP or SDP+mapping)
-    against live capacity state, and re-evaluates.  Iterations repeat until
+    The released segments are partitioned once (Section 3.2; their 2-D
+    positions never move).  Each iteration freezes downstream capacitances
+    and worst paths at the current assignment, solves partitions with the
+    configured method (ILP or SDP+mapping) against live capacity state,
+    and re-evaluates.  Iterations repeat until
     the released nets' timing stops improving (with a revert of the last
     iteration if it hurt), or the iteration cap is hit.
 
-    With {!Config.t.incremental} (the default) sweeps after the first are
-    *dirty-partition* sweeps: only quadtree leaves whose inputs could have
-    changed — leaves sharing a net with a net that moved, or a grid
-    tile/edge with a leaf whose segments moved — are re-solved; clean
-    leaves keep their layers verbatim.  With [warm_start = false] the
-    committed layers are identical to the from-scratch loop's; warm starts
-    and the solve cache trade that bitwise identity for speed while
+    Every sweep goes through {!Incr}: the first solves every quadtree
+    leaf, and later sweeps are *dirty-partition* sweeps that re-solve only
+    leaves whose inputs could have changed — leaves sharing a net with a
+    net that moved, or a grid tile/edge with a leaf whose segments moved;
+    clean leaves keep their layers verbatim.  With [warm_start = false]
+    the committed layers are identical to those of a loop that re-solves
+    every leaf cold on every sweep, and the solve cache is invisible to
+    results; warm starts trade that bitwise identity for speed while
     preserving validity (equivalence within score tolerance). *)
 
 type report = {
@@ -51,7 +53,7 @@ val optimize_released :
     @raise Invalid_argument when the engine is bound to another assignment.
     An empty [released] returns immediately with zero metrics.
 
-    [solve_cache] (SDP method, incremental mode) is a content-addressed
+    [solve_cache] (SDP method) is a content-addressed
     cache of fractional partition solves, shareable across calls and
     domains: coupled subproblems whose canonical formulation was already
     solved cold skip the solver entirely (see {!Solve_cache}).
@@ -67,7 +69,7 @@ val optimize_released :
     assigned and internally consistent.  {!Cpla_serve.Token.check} is the
     intended hook; any closure works. *)
 
-(** The dirty-partition scheduler behind incremental sweeps, exposed for
+(** The dirty-partition scheduler behind every sweep, exposed for
     benchmarks and equivalence tests.  Holds the (once-built) quadtree,
     per-leaf dirty flags, leaf-keyed warm-start factors, and memoized
     formulations/solutions.  The partition structure is a pure function of

@@ -127,7 +127,3 @@ let solve_fractional ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t
           | _ -> result
         in
         { frac = fractional_table f index result; factor = flat_factor result })
-
-let solve ~options ?ws ?check (f : Formulation.t) =
-  let { frac; _ } = solve_fractional ~options ?ws ?check f in
-  if Array.length frac = 0 then fun _ _ -> 0.0 else fun vi ci -> frac.(vi).(ci)

@@ -35,20 +35,8 @@ val solve_fractional :
     stalls (non-finite or badly violated final residual), the solve is
     retried from the deterministic cold start (counted under the
     [sdp/warm-retries] metric), so a bad seed costs time but never
-    quality.  With no [?v0] the result is bitwise-identical to {!solve}.
-    [check] is the cooperative-cancellation hook, polled at the solve
-    boundaries. *)
-
-val solve :
-  options:Cpla_sdp.Solver.options ->
-  ?ws:Cpla_sdp.Solver.ws ->
-  ?check:(unit -> unit) ->
-  Formulation.t ->
-  (int -> int -> float)
-(** Solve the relaxation and return the fractional value accessor
-    [x vi ci ∈ [0,1]] that feeds {!Post_map.run}.  [check] is the
-    cooperative-cancellation hook (see {!Driver.optimize_released}): it is
-    polled at the solve boundaries (before building the SDP and before
-    running the solver) and aborts the solve by raising.  [ws] reuses a
-    solver workspace across partitions (one per domain); results are
-    independent of workspace reuse. *)
+    quality.  [check] is the cooperative-cancellation hook (see
+    {!Driver.optimize_released}): it is polled at the solve boundaries
+    (before building the SDP and before running the solver) and aborts the
+    solve by raising.  [ws] reuses a solver workspace across partitions
+    (one per domain); results are independent of workspace reuse. *)

@@ -62,11 +62,26 @@ let parse_exn content =
     | Some v -> v
     | None -> raise (Parse_error (Printf.sprintf "expected integer, got '%s'" t))
   in
+  let at_least lo what v =
+    if v < lo then raise (Parse_error (Printf.sprintf "%s must be at least %d, got %d" what lo v));
+    v
+  in
+  (* Items are read before anything is sized by the count, so a count
+     larger than the file runs out of tokens instead of allocating. *)
+  let counted what n read =
+    let n = at_least 0 what n in
+    let acc = ref [] in
+    for i = 0 to n - 1 do
+      acc := read i :: !acc
+    done;
+    List.rev !acc
+  in
   expect "grid";
-  let grid_x = int_tok () in
-  let grid_y = int_tok () in
-  let num_layers = int_tok () in
-  let int_vector () = Array.init num_layers (fun _ -> int_tok ()) in
+  (* the smallest routable grid: Graph needs 2x2 tiles and Tech 2 layers *)
+  let grid_x = at_least 2 "grid width" (int_tok ()) in
+  let grid_y = at_least 2 "grid height" (int_tok ()) in
+  let num_layers = at_least 2 "layer count" (int_tok ()) in
+  let int_vector () = Array.of_list (counted "layer count" num_layers (fun _ -> int_tok ())) in
   expect "vertical";
   expect "capacity";
   let vertical_capacity = int_vector () in
@@ -84,8 +99,8 @@ let parse_exn content =
   let via_spacing = int_vector () in
   let lower_left_x = int_tok () in
   let lower_left_y = int_tok () in
-  let tile_width = int_tok () in
-  let tile_height = int_tok () in
+  let tile_width = at_least 1 "tile width" (int_tok ()) in
+  let tile_height = at_least 1 "tile height" (int_tok ()) in
   expect "num";
   expect "net";
   let num_nets = int_tok () in
@@ -111,18 +126,23 @@ let parse_exn content =
     (min (grid_x - 1) (max 0 tx), min (grid_y - 1) (max 0 ty))
   in
   let nets =
-    Array.init num_nets (fun i ->
+    counted "net count" num_nets (fun i ->
         let name = next () in
         let _file_id = int_tok () in
         let num_pins = int_tok () in
         let _min_width = int_tok () in
         let pins =
-          Array.init num_pins (fun _ ->
+          counted ("pin count of net " ^ name) num_pins (fun _ ->
               let ax = int_tok () in
               let ay = int_tok () in
               let l = int_tok () in
+              if l < 1 || l > num_layers then
+                raise
+                  (Parse_error
+                     (Printf.sprintf "net %s: pin layer %d outside 1..%d" name l num_layers));
               let px, py = tile_of_abs ax ay in
               { Net.px; py; pl = l - 1 })
+          |> Array.of_list
         in
         let pins = Net.dedup_pins pins in
         (* keep single-tile nets; callers skip them when routing *)
@@ -132,13 +152,14 @@ let parse_exn content =
           else raise (Parse_error (Printf.sprintf "net %s has no pins" name))
         in
         Net.create ~id:i ~name ~pins)
+    |> Array.of_list
   in
   let adjustments =
     match !toks with
     | [] -> []
     | _ ->
         let n_adj = int_tok () in
-        List.init n_adj (fun _ ->
+        counted "adjustment count" n_adj (fun _ ->
             let from_x = int_tok () in
             let from_y = int_tok () in
             let from_layer = int_tok () in

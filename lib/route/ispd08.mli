@@ -42,7 +42,10 @@ val parse : string -> (design, string) result
 (** Parse file contents.  Pin coordinates are converted to tile indices;
     pins are deduplicated per tile and single-tile nets are kept (the router
     will skip them).  Layers in the file are 1-based and converted to
-    0-based. *)
+    0-based.  Never raises: malformed input — a grid smaller than 2×2 or
+    with fewer than 2 layers, a tile width or height below 1, a negative
+    net, pin or adjustment count, a pin layer outside [1..layers], a
+    missing or non-integer token — gives [Error]. *)
 
 val write : design -> string
 (** Inverse of [parse] up to whitespace (pins are written at tile centres). *)

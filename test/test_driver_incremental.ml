@@ -38,13 +38,47 @@ let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
 
 (* ---- incremental ≡ from-scratch -------------------------------------------- *)
 
+(* The from-scratch oracle: the driver's outer loop (score avg + 0.05·max
+   over the released nets, restore the entry layers after a worse or
+   non-finite sweep, stop at no improvement), but with a fresh [Incr] state
+   every iteration.  Every leaf is then dirty and solved cold on every
+   sweep, and no memoized solution is ever replayed. *)
+let from_scratch ~config asg ~released =
+  let engine = Incremental.create asg in
+  let score () =
+    let avg, mx = Incremental.avg_max_tcp engine released in
+    avg +. (0.05 *. mx)
+  in
+  let best = ref (score ()) in
+  let rec loop iter =
+    if iter < config.Config.max_outer_iters then begin
+      let entry = layers_of asg in
+      ignore (Driver.Incr.sweep (Driver.Incr.create ~config ~engine asg ~released));
+      let s = score () in
+      if (not (Float.is_finite s)) || s > !best then
+        Array.iter
+          (fun net ->
+            Array.iteri (fun seg layer -> Assignment.set_layer asg ~net ~seg ~layer) entry.(net))
+          released
+      else if s < !best -. (1e-6 *. Float.abs !best) then begin
+        best := s;
+        loop (iter + 1)
+      end
+    end
+  in
+  loop 0;
+  Incremental.avg_max_tcp engine released
+
 (* The core contract: over random designs, release sets (via the seed),
-   sweep budgets, and worker counts, the incremental driver with warm
-   starts off commits exactly the layers the from-scratch loop commits. *)
+   sweep budgets, worker counts and both methods, the dirty-partition
+   driver with warm starts off commits exactly the layers the from-scratch
+   oracle commits. *)
 let equivalence_property =
-  QCheck.Test.make ~name:"driver: incremental ≡ from-scratch layers (warm off)" ~count:5
-    QCheck.(triple (int_range 0 9999) (int_range 1 4) (oneofl [ 1; 2; 3 ]))
-    (fun (seed, iters, workers) ->
+  QCheck.Test.make ~name:"driver: incremental ≡ from-scratch layers (warm off)" ~count:8
+    QCheck.(
+      quad (int_range 0 9999) (int_range 1 4) (oneofl [ 1; 2; 3 ])
+        (oneofl [ Config.Sdp; Config.Ilp ]))
+    (fun (seed, iters, workers, method_) ->
       let mk () =
         let asg = build_design ~seed () in
         let released = Critical.select asg ~ratio:0.02 in
@@ -53,20 +87,20 @@ let equivalence_property =
       let asg_a, rel_a = mk () in
       let asg_b, rel_b = mk () in
       if rel_a <> rel_b then QCheck.Test.fail_report "fixture is non-deterministic";
-      let base =
-        { Config.default with Config.warm_start = false; workers; max_outer_iters = iters }
+      let config =
+        {
+          Config.default with
+          Config.warm_start = false;
+          workers;
+          max_outer_iters = iters;
+          method_;
+        }
       in
-      let ra =
-        Driver.optimize_released ~config:{ base with Config.incremental = false } asg_a
-          ~released:rel_a
-      in
-      let rb =
-        Driver.optimize_released ~config:{ base with Config.incremental = true } asg_b
-          ~released:rel_b
-      in
+      let avg_a, max_a = from_scratch ~config asg_a ~released:rel_a in
+      let rb = Driver.optimize_released ~config asg_b ~released:rel_b in
       layers_of asg_a = layers_of asg_b
-      && close ra.Driver.avg_tcp rb.Driver.avg_tcp
-      && close ra.Driver.max_tcp rb.Driver.max_tcp
+      && close avg_a rb.Driver.avg_tcp
+      && close max_a rb.Driver.max_tcp
       && Assignment.check_usage asg_b = Ok ())
 
 (* A hit replays the stored cold-start solution, and with warm starts off
@@ -237,6 +271,45 @@ let test_incr_converges_and_redirties () =
     (Driver.Incr.sweep st < Driver.Incr.leaf_count st);
   Alcotest.(check bool) "unknown nets are ignored" true
     (Driver.Incr.mark_net_dirty st max_int = ())
+
+(* The capacity half of the re-dirty rule.  On this congested fixture
+   (capacity 2, 60% of nets released, leaves of at most 4 segments) a leaf
+   whose own nets kept their layers must still be re-solved after a grid
+   tile neighbour moved: two sweeps of one state then commit what two
+   fresh full sweeps commit.  Re-dirtying only the leaves of moved nets
+   diverges from the fresh sweeps already on the second one. *)
+let test_incr_redirties_tile_neighbours () =
+  let mk () =
+    let asg = build_design ~w:12 ~nets:150 ~cap:2 ~seed:4 () in
+    (asg, Critical.select asg ~ratio:0.6)
+  in
+  let config =
+    {
+      Config.default with
+      Config.warm_start = false;
+      workers = 1;
+      method_ = Config.Ilp;
+      max_segments_per_partition = 4;
+    }
+  in
+  let asg_a, released = mk () in
+  let asg_b, rel_b = mk () in
+  Alcotest.(check bool) "fixture deterministic" true (released = rel_b);
+  let eng_a = Cpla_timing.Incremental.create asg_a in
+  let eng_b = Cpla_timing.Incremental.create asg_b in
+  let st = Driver.Incr.create ~config ~engine:eng_a asg_a ~released in
+  for sweep = 1 to 3 do
+    let solved = Driver.Incr.sweep st in
+    ignore
+      (Driver.Incr.sweep (Driver.Incr.create ~config ~engine:eng_b asg_b ~released:rel_b));
+    Alcotest.(check bool)
+      (Printf.sprintf "sweep %d: same layers as a fresh full sweep" sweep)
+      true
+      (layers_of asg_a = layers_of asg_b);
+    if sweep = 3 then
+      Alcotest.(check bool) "the last sweep skipped clean leaves" true
+        (solved < Driver.Incr.leaf_count st)
+  done
 
 (* ---- digest: the cache key's canonicalisation contract ----------------------- *)
 
@@ -412,6 +485,8 @@ let suite =
     Alcotest.test_case "committed sweeps counted" `Quick test_committed_sweeps_counted;
     Alcotest.test_case "incr scheduler converges and re-dirties" `Quick
       test_incr_converges_and_redirties;
+    Alcotest.test_case "incr re-dirties tile neighbours" `Quick
+      test_incr_redirties_tile_neighbours;
     Alcotest.test_case "digest stable under renaming/translation" `Quick
       test_digest_stable_under_renaming;
     Alcotest.test_case "digest row order canonical" `Quick test_digest_row_order_canonical;

@@ -144,29 +144,71 @@ let test_min_eigenvalue () =
 
 (* ---- L-BFGS --------------------------------------------------------------- *)
 
+(* minimise (x-3)² + 2(y+1)² *)
+let quadratic v =
+  let x = v.(0) and y = v.(1) in
+  let fv = ((x -. 3.0) ** 2.0) +. (2.0 *. ((y +. 1.0) ** 2.0)) in
+  (fv, [| 2.0 *. (x -. 3.0); 4.0 *. (y +. 1.0) |])
+
+let rosenbrock v =
+  let x = v.(0) and y = v.(1) in
+  let fv = (100.0 *. ((y -. (x *. x)) ** 2.0)) +. ((1.0 -. x) ** 2.0) in
+  let gx = (-400.0 *. x *. (y -. (x *. x))) -. (2.0 *. (1.0 -. x)) in
+  let gy = 200.0 *. (y -. (x *. x)) in
+  (fv, [| gx; gy |])
+
 let test_lbfgs_quadratic () =
-  (* minimise (x-3)² + 2(y+1)² *)
-  let f v =
-    let x = v.(0) and y = v.(1) in
-    let fv = ((x -. 3.0) ** 2.0) +. (2.0 *. ((y +. 1.0) ** 2.0)) in
-    (fv, [| 2.0 *. (x -. 3.0); 4.0 *. (y +. 1.0) |])
-  in
-  let res = Lbfgs.minimize ~f [| 0.0; 0.0 |] in
-  Alcotest.(check bool) "converged" true res.Lbfgs.converged;
-  Alcotest.(check (float 1e-4)) "x" 3.0 res.Lbfgs.x.(0);
-  Alcotest.(check (float 1e-4)) "y" (-1.0) res.Lbfgs.x.(1)
+  let res = Lbfgs_ref.minimize ~f:quadratic [| 0.0; 0.0 |] in
+  Alcotest.(check bool) "converged" true res.Lbfgs_ref.converged;
+  Alcotest.(check (float 1e-4)) "x" 3.0 res.Lbfgs_ref.x.(0);
+  Alcotest.(check (float 1e-4)) "y" (-1.0) res.Lbfgs_ref.x.(1)
 
 let test_lbfgs_rosenbrock () =
-  let f v =
-    let x = v.(0) and y = v.(1) in
-    let fv = (100.0 *. ((y -. (x *. x)) ** 2.0)) +. ((1.0 -. x) ** 2.0) in
-    let gx = (-400.0 *. x *. (y -. (x *. x))) -. (2.0 *. (1.0 -. x)) in
-    let gy = 200.0 *. (y -. (x *. x)) in
-    (fv, [| gx; gy |])
-  in
-  let res = Lbfgs.minimize ~max_iter:2000 ~f [| -1.2; 1.0 |] in
-  Alcotest.(check (float 1e-3)) "rosenbrock x" 1.0 res.Lbfgs.x.(0);
-  Alcotest.(check (float 1e-3)) "rosenbrock y" 1.0 res.Lbfgs.x.(1)
+  let res = Lbfgs_ref.minimize ~max_iter:2000 ~f:rosenbrock [| -1.2; 1.0 |] in
+  Alcotest.(check (float 1e-3)) "rosenbrock x" 1.0 res.Lbfgs_ref.x.(0);
+  Alcotest.(check (float 1e-3)) "rosenbrock y" 1.0 res.Lbfgs_ref.x.(1)
+
+(* The workspace minimiser claims the list reference's exact floating-point
+   sequence: both must evaluate the same points, bit for bit, and stop at
+   the same iterate with the same results.  Neither fixture rejects a
+   curvature pair once the memory is full, the case where the claim ends. *)
+let test_lbfgs_ws_matches_reference () =
+  let bits v = Array.map Int64.bits_of_float v in
+  List.iter
+    (fun (name, f, x0, max_iter) ->
+      let ref_points = ref [] in
+      let res =
+        Lbfgs_ref.minimize ~max_iter
+          ~f:(fun v ->
+            ref_points := bits v :: !ref_points;
+            f v)
+          x0
+      in
+      let n = Array.length x0 in
+      let ws = Lbfgs.Ws.create () in
+      let fx = Lbfgs.Ws.fx_out ws in
+      let ws_points = ref [] in
+      let eval x grad_out =
+        let v = Array.sub x 0 n in
+        ws_points := bits v :: !ws_points;
+        let fv, g = f v in
+        fx.(0) <- fv;
+        Array.blit g 0 grad_out 0 n
+      in
+      let x = Array.copy x0 in
+      Lbfgs.Ws.minimize ws ~n ~max_iter ~eval x;
+      Alcotest.(check int) (name ^ ": evaluations") (List.length !ref_points)
+        (List.length !ws_points);
+      Alcotest.(check bool) (name ^ ": same evaluation points") true (!ref_points = !ws_points);
+      Alcotest.(check bool) (name ^ ": same minimiser") true (bits res.Lbfgs_ref.x = bits x);
+      Alcotest.(check bool) (name ^ ": same f and gradient norm") true
+        (bits [| res.Lbfgs_ref.f; res.Lbfgs_ref.grad_norm |]
+        = bits [| Lbfgs.Ws.f ws; Lbfgs.Ws.grad_norm ws |]);
+      Alcotest.(check int) (name ^ ": iterations") res.Lbfgs_ref.iterations
+        (Lbfgs.Ws.iterations ws);
+      Alcotest.(check bool) (name ^ ": converged") res.Lbfgs_ref.converged
+        (Lbfgs.Ws.converged ws))
+    [ ("quadratic", quadratic, [| 0.0; 0.0 |], 500); ("rosenbrock", rosenbrock, [| -1.2; 1.0 |], 2000) ]
 
 (* ---- Simplex --------------------------------------------------------------- *)
 
@@ -288,6 +330,7 @@ let suite =
     Alcotest.test_case "min eigenvalue" `Quick test_min_eigenvalue;
     Alcotest.test_case "lbfgs quadratic" `Quick test_lbfgs_quadratic;
     Alcotest.test_case "lbfgs rosenbrock" `Quick test_lbfgs_rosenbrock;
+    Alcotest.test_case "lbfgs ws ≡ list reference" `Quick test_lbfgs_ws_matches_reference;
     Alcotest.test_case "simplex basic" `Quick test_simplex_basic;
     Alcotest.test_case "simplex equality" `Quick test_simplex_equality;
     Alcotest.test_case "simplex ge" `Quick test_simplex_ge;

@@ -280,9 +280,42 @@ let test_ispd_to_graph () =
       Alcotest.(check int) "adjusted edge" 4
         (Graph.capacity g { Graph.dir = Tech.Horizontal; x = 0; y = 0 } ~layer:0)
 
+(* each input is [sample_gr] with one line replaced; every one must come
+   back as [Error], never as an exception or a design that crashes later *)
 let test_ispd_parse_error () =
-  Alcotest.(check bool) "garbage rejected" true
-    (match Ispd08.parse "this is not a benchmark" with Error _ -> true | Ok _ -> false)
+  let rejected name input =
+    Alcotest.(check bool) name true
+      (match Ispd08.parse input with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception e ->
+          Cpla_util.Exn.reraise_if_async e;
+          false)
+  in
+  let replace_line line by =
+    String.split_on_char '\n' sample_gr
+    |> List.map (fun l -> if String.trim l = line then by else l)
+    |> String.concat "\n"
+  in
+  rejected "garbage" "this is not a benchmark";
+  List.iter
+    (fun (name, line, by) ->
+      let input = replace_line line by in
+      if input = sample_gr then Alcotest.failf "%s: fixture line %S not found" name line;
+      rejected name input)
+    [
+      ("tile width 0", "0 0 10 10", "0 0 0 10");
+      ("tile height 0", "0 0 10 10", "0 0 10 0");
+      ("negative pin count", "netA 0 2 1", "netA 0 -2 1");
+      ("negative net count", "num net 2", "num net -1");
+      ("negative adjustment count", "1", "-1");
+      ("zero grid width", "grid 4 4 2", "grid 0 4 2");
+      ("negative grid height", "grid 4 4 2", "grid 4 -3 2");
+      ("zero layers", "grid 4 4 2", "grid 4 4 0");
+      ("negative layers", "grid 4 4 2", "grid 4 4 -2");
+      ("pin layer above range", "35 25 1", "35 25 3");
+      ("pin layer 0", "5 5 1", "5 5 0");
+    ]
 
 let suite =
   [
